@@ -7,7 +7,9 @@ import (
 
 	"chainmon/internal/budget"
 	"chainmon/internal/experiments"
-	"chainmon/internal/shmring"
+	"chainmon/internal/monitor"
+	rt "chainmon/internal/runtime"
+	"chainmon/internal/runtime/walltime"
 	"chainmon/internal/sim"
 	"chainmon/internal/weaklyhard"
 )
@@ -41,8 +43,9 @@ func BenchmarkFig10ExceptionLatencies(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11Overheads reproduces Fig. 11 on the real wall-clock
-// implementation: posting overheads, monitor latency and execution time.
+// BenchmarkFig11Overheads reproduces Fig. 11 on the wall-clock monitor that
+// `chainmon -realtime` runs: posting overheads, monitor latency and
+// execution time.
 func BenchmarkFig11Overheads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.RunFig11(200, 100*time.Microsecond)
@@ -129,11 +132,11 @@ func BenchmarkAblationBufferOrder(b *testing.B) {
 // BenchmarkRingPost measures one start-event post into the wait-free ring
 // (the paper's "start-event overhead", sans monitor wakeup).
 func BenchmarkRingPost(b *testing.B) {
-	r := shmring.NewRing(1 << 16)
+	r := walltime.NewRing(1 << 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !r.Post(shmring.Event{Act: uint64(i)}) {
+		if !r.Post(rt.Event{Act: uint64(i)}) {
 			// Drain in bulk when full (consumer role).
 			for {
 				if _, ok := r.Pop(); !ok {
@@ -146,27 +149,32 @@ func BenchmarkRingPost(b *testing.B) {
 
 // BenchmarkRingPostPop measures a post/pop round trip.
 func BenchmarkRingPostPop(b *testing.B) {
-	r := shmring.NewRing(1024)
+	r := walltime.NewRing(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Post(shmring.Event{Act: uint64(i)})
+		r.Post(rt.Event{Act: uint64(i)})
 		r.Pop()
 	}
 }
 
 // BenchmarkMonitorWakeLatency measures the full post→handled path of the
-// real monitor: PostStart, semaphore wake, drain, timeout arm.
+// wall-clock monitor: start post, semaphore wake, drain, timeout arm.
 func BenchmarkMonitorWakeLatency(b *testing.B) {
-	m := shmring.NewMonitor()
-	seg := m.AddSegment("bench", time.Second, 1<<16, nil)
-	m.Start()
-	defer m.Stop()
+	clock, sem := walltime.NewClock(), walltime.NewSem()
+	m := monitor.NewWallclockMonitor(clock, sem,
+		func() rt.EventRing { return walltime.NewRing(1 << 16) }, 1)
+	seg := m.AddSegment(monitor.SegmentConfig{Name: "bench", DMon: time.Second})
+	loop := walltime.NewLoop(clock, sem)
+	loop.Scan = m.ScanNow
+	loop.Next = m.Core().NextDeadline
+	loop.Start()
+	defer loop.Stop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seg.PostStart(uint64(i))
-		seg.PostEnd(uint64(i))
+		seg.StartInjected(uint64(i))
+		seg.EndInjected(uint64(i))
 	}
 }
 

@@ -1,6 +1,7 @@
 package chainmon
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -150,15 +151,37 @@ func TestPublicAPIPerceptionDefaults(t *testing.T) {
 	}
 }
 
-func TestPublicAPIRealMonitor(t *testing.T) {
-	m := NewRealMonitor()
-	seg := m.AddSegment("s", Second, 64, nil)
-	m.Start()
-	seg.PostStart(0)
-	seg.PostEnd(0)
-	m.Stop()
-	ms := seg.Measurements()
-	if len(ms.StartPost) != 1 || len(ms.EndPost) != 1 {
-		t.Error("real monitor measurements missing")
+func TestPublicAPIRealtimeOverheads(t *testing.T) {
+	cfg := DefaultRealtimeConfig()
+	cfg.Frames = 10
+	cfg.LateEvery = 5
+	res, err := RunRealtime(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := res.Overheads
+	if o == nil {
+		t.Fatal("wall-clock run reported no overheads")
+	}
+	if o.StartPost.Len() != 2*cfg.Frames || o.EndPost.Len() != 2*cfg.Frames {
+		t.Errorf("post samples = %d start, %d end; want %d each",
+			o.StartPost.Len(), o.EndPost.Len(), 2*cfg.Frames)
+	}
+	if o.StartPost.Max() <= 0 || o.EndPost.Max() <= 0 {
+		t.Error("posting overheads were not measured")
+	}
+	if o.MonLatency.Len() == 0 || o.MonExec.Len() == 0 {
+		t.Error("monitor latency or execution time missing")
+	}
+	if uint64(o.MonExec.Len()) != res.Scans {
+		t.Errorf("%d execution-time samples for %d passes", o.MonExec.Len(), res.Scans)
+	}
+	var b strings.Builder
+	res.Summary(&b)
+	for _, row := range []string{"start-event overhead", "end-event overhead",
+		"monitor latency", "monitor execution time"} {
+		if !strings.Contains(b.String(), row) {
+			t.Errorf("summary lacks the %q row:\n%s", row, b.String())
+		}
 	}
 }

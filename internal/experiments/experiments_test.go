@@ -107,6 +107,14 @@ func TestFig11RealOverheads(t *testing.T) {
 	if r.Exceptions == 0 || r.OK == 0 {
 		t.Errorf("need both paths: ok=%d exc=%d", r.OK, r.Exceptions)
 	}
+	// The rows are measured on the shipped monitor, not a zero model.
+	if r.StartPost.Max() <= 0 || r.EndPost.Max() <= 0 {
+		t.Errorf("posting overheads not measured: start max %v, end max %v",
+			r.StartPost.Max(), r.EndPost.Max())
+	}
+	if r.MonExec.Len() == 0 {
+		t.Error("no monitor execution times recorded")
+	}
 	var buf bytes.Buffer
 	r.Report(&buf)
 	if !strings.Contains(buf.String(), "Figure 11") {

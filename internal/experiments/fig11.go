@@ -5,12 +5,12 @@ import (
 	"io"
 	"time"
 
-	"chainmon/internal/shmring"
+	"chainmon/internal/realtime"
 	"chainmon/internal/stats"
 )
 
 // Fig11Result carries the local-monitoring overheads of Fig. 11, measured
-// wall-clock on the real ring-buffer/monitor-goroutine implementation.
+// wall-clock on the monitor that `chainmon -realtime` runs.
 type Fig11Result struct {
 	Activations int
 	StartPost   *stats.Sample
@@ -21,59 +21,45 @@ type Fig11Result struct {
 	OK          int
 }
 
-// RunFig11 drives the real shared-memory monitoring path for the given
-// number of activations on two segments (objects and ground, as on ECU2).
-// Roughly a fifth of the activations time out so both the OK path and the
-// exception path are exercised. segmentWork is the simulated distance
-// between start and end event; the deadline leaves generous headroom above
-// it because time.Sleep on a non-realtime kernel overshoots by tens to
-// hundreds of microseconds.
+// RunFig11 runs the wall-clock scenario (realtime.Run: two shared-start
+// segments, objects and ground, as on ECU2) for the given number of
+// activations and reports the overheads its monitor measured. segmentWork
+// is the distance between start and end event; every fifth ground end is
+// held one period, past the 2 ms deadline, so both the OK path and the
+// exception path run.
 func RunFig11(activations int, segmentWork time.Duration) Fig11Result {
-	deadline := 4*segmentWork + 10*time.Millisecond
-	mon := shmring.NewMonitor()
-	exc := make(chan uint64, 2*activations+2)
-	objects := mon.AddSegment("objects", deadline, 1024, func(act uint64, _ time.Duration) {
-		exc <- act
-	})
-	ground := mon.AddSegment("ground", deadline, 1024, nil)
-	mon.Start()
-
-	for i := 0; i < activations; i++ {
-		act := uint64(i)
-		objects.PostStart(act)
-		ground.PostStart(act)
-		if i%5 == 4 {
-			// Timeout case: the end event arrives well after the
-			// deadline, so the exception fires regardless of timer and
-			// sleep overshoot on the test machine.
-			time.Sleep(deadline + 10*time.Millisecond)
-		} else {
-			time.Sleep(segmentWork)
-		}
-		objects.PostEnd(act)
-		ground.PostEnd(act)
+	res, err := realtime.Run(realtime.Config{
+		Frames:    activations,
+		Period:    3 * time.Millisecond,
+		Deadline:  2 * time.Millisecond,
+		Work:      segmentWork,
+		LateEvery: 5,
+		RingCap:   1024,
+		Seed:      1,
+	}, nil)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: Fig. 11 run: %v", err))
 	}
-	// Let the last deadlines expire before stopping.
-	time.Sleep(deadline + 4*segmentWork)
-	mon.Stop()
-
-	mo := objects.Measurements()
-	mg := ground.Measurements()
-	r := Fig11Result{Activations: activations}
-	r.StartPost = stats.FromDurations(append(mo.StartPost, mg.StartPost...))
-	r.EndPost = stats.FromDurations(append(mo.EndPost, mg.EndPost...))
-	r.MonLatency = stats.FromDurations(append(mo.MonLatency, mg.MonLatency...))
-	r.MonExec = stats.FromDurations(mo.ScanExec)
-	r.Exceptions = mo.Exceptions + mg.Exceptions
-	r.OK = mo.OK + mg.OK
+	o := res.Overheads
+	r := Fig11Result{
+		Activations: activations,
+		StartPost:   o.StartPost,
+		EndPost:     o.EndPost,
+		MonLatency:  o.MonLatency,
+		MonExec:     o.MonExec,
+	}
+	for _, s := range res.Segments {
+		r.OK += s.OK
+		r.Exceptions += s.Missed + s.Recovered
+	}
 	return r
 }
 
 // Report prints the four Fig. 11 rows.
 func (r Fig11Result) Report(w io.Writer) {
 	section(w, "Figure 11 — Measured overheads for local segment monitoring (real, wall clock)",
-		fmt.Sprintf("%d activations on two segments through the wait-free ring buffers and\n"+
-			"the monitor goroutine (%d ok / %d exceptions).\n"+
+		fmt.Sprintf("%d activations on two segments through the monitor that `chainmon -realtime`\n"+
+			"runs: wait-free rings, semaphore wake, walltime loop (%d ok / %d exceptions).\n"+
 			"Paper: posting overheads of a few tens of µs (worst < 100 µs); monitor\n"+
 			"latency below ~200 µs.", r.Activations, r.OK, r.Exceptions))
 	row(w, "start-event overhead", r.StartPost)

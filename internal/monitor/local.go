@@ -8,6 +8,7 @@ import (
 	rt "chainmon/internal/runtime"
 	"chainmon/internal/runtime/simtime"
 	"chainmon/internal/sim"
+	"chainmon/internal/stats"
 	"chainmon/internal/telemetry"
 	"chainmon/internal/weaklyhard"
 )
@@ -45,13 +46,19 @@ type LocalMonitor struct {
 	core     *rt.Core
 	segments []*LocalSegment
 
-	// PostCost is the overhead of posting one event into a ring buffer
-	// (start-event / end-event overhead in Fig. 11).
+	// PostCost is the modelled overhead of posting one event into a ring
+	// buffer (start-event / end-event overhead in Fig. 11). The recorded
+	// overhead is this sample plus the clock delta across the post, which
+	// is zero in the simulation and the measured cost on the wall clock.
 	PostCost sim.Dist
-	// ScanCost is the execution time of one monitor-thread drain pass.
+	// ScanCost is the modelled execution time of one monitor-thread drain
+	// pass on the simulation runtime; ScanNow measures it instead.
 	ScanCost sim.Dist
 
-	overheads  *OverheadStats
+	// monLatency and monExec are the monitor-side Fig. 11 samples; the
+	// posting overheads are kept per segment (see Overheads).
+	monLatency *stats.Sample
+	monExec    *stats.Sample
 	skipTables map[*dds.Publisher]map[uint64]bool
 
 	tel          *monTel        // nil when uninstrumented
@@ -81,7 +88,8 @@ func NewLocalMonitor(ecu *dds.ECU) *LocalMonitor {
 			Shift: 5 * sim.Microsecond, Max: 150 * sim.Microsecond,
 		},
 		core:       rt.NewCore(),
-		overheads:  NewOverheadStats(),
+		monLatency: stats.NewSample(),
+		monExec:    stats.NewSample(),
 		skipTables: make(map[*dds.Publisher]map[uint64]bool),
 		newRing:    func() rt.EventRing { return &rt.SliceRing{} },
 	}
@@ -104,9 +112,10 @@ func NewLocalMonitor(ecu *dds.ECU) *LocalMonitor {
 // host loop sleeps until Core().NextDeadline().
 //
 // Concurrency contract: StartInjected/EndInjected must come from a single
-// producer goroutine per segment; ScanNow and PropagateInto belong to the
+// producer goroutine per segment (each segment's posting overheads and drop
+// count are owned by its producer); ScanNow and PropagateInto belong to the
 // monitor goroutine. Cost models default to zero (on a real clock the
-// costs are real) and must stay RNG-free on the producer path. Attach
+// costs are measured) and must stay RNG-free on the producer path. Attach
 // telemetry with AttachWallclockTelemetry, which keeps producer-side posts
 // on per-segment tracks so the recorder's single-writer contract holds.
 func NewWallclockMonitor(clock rt.Clock, waker rt.Waker, newRing func() rt.EventRing, seed int64) *LocalMonitor {
@@ -116,7 +125,8 @@ func NewWallclockMonitor(clock rt.Clock, waker rt.Waker, newRing func() rt.Event
 		PostCost:   sim.Constant(0),
 		ScanCost:   sim.Constant(0),
 		core:       rt.NewCore(),
-		overheads:  NewOverheadStats(),
+		monLatency: stats.NewSample(),
+		monExec:    stats.NewSample(),
 		skipTables: make(map[*dds.Publisher]map[uint64]bool),
 		newRing:    newRing,
 		sched:      waker,
@@ -125,8 +135,27 @@ func NewWallclockMonitor(clock rt.Clock, waker rt.Waker, newRing func() rt.Event
 	return m
 }
 
-// Overheads returns the Fig. 11 overhead collectors of this monitor.
-func (m *LocalMonitor) Overheads() *OverheadStats { return m.overheads }
+// Overheads returns the Fig. 11 overhead samples of this monitor. The
+// posting overheads of all segments are merged in registration order (the
+// Tukey rows depend only on the sorted values); on the wall clock call it
+// once the producers and the monitor loop have stopped.
+func (m *LocalMonitor) Overheads() *OverheadStats {
+	o := &OverheadStats{
+		StartPost:  stats.NewSample(),
+		EndPost:    stats.NewSample(),
+		MonLatency: m.monLatency,
+		MonExec:    m.monExec,
+	}
+	for _, s := range m.segments {
+		for _, v := range s.startPost.Values() {
+			o.StartPost.Add(v)
+		}
+		for _, v := range s.endPost.Values() {
+			o.EndPost.Add(v)
+		}
+	}
+	return o
+}
 
 // Segments returns the registered segments in their fixed processing order.
 func (m *LocalMonitor) Segments() []*LocalSegment { return m.segments }
@@ -135,10 +164,16 @@ func (m *LocalMonitor) Segments() []*LocalSegment { return m.segments }
 // NextDeadline).
 func (m *LocalMonitor) Core() *rt.Core { return m.core }
 
-// ScanNow runs one monitor pass at the current clock time. The wall-clock
-// loop calls it after a semaphore wake or deadline sleep; on the simulation
-// runtime scans are scheduled through the wake path instead.
-func (m *LocalMonitor) ScanNow() { m.scan() }
+// ScanNow runs one monitor pass at the current clock time and records its
+// measured execution time (Fig. 11 "monitor execution time"). The
+// wall-clock loop calls it after a semaphore wake or deadline sleep; on the
+// simulation runtime scans are scheduled through the wake path instead,
+// which records the modelled ScanCost.
+func (m *LocalMonitor) ScanNow() {
+	t0 := m.clock.Now()
+	m.scan(t0)
+	m.monExec.AddDuration(m.clock.Now().Sub(t0))
+}
 
 // scanScheduler is the simtime rt.Waker: it queues scan passes on the
 // simulated monitor thread with a sampled scan cost, coalescing wakes while
@@ -172,7 +207,7 @@ func (sc *simScheduler) ForceWake() {
 func (sc *simScheduler) queue() {
 	m := sc.m
 	cost := m.ScanCost.Sample(m.rng)
-	m.overheads.MonExec.AddDuration(cost)
+	m.monExec.AddDuration(cost)
 	if m.tel != nil {
 		m.lastScanCost = cost
 	}
@@ -181,7 +216,7 @@ func (sc *simScheduler) queue() {
 
 func (sc *simScheduler) runScan() {
 	sc.queued = false
-	sc.m.scan()
+	sc.m.scan(sc.m.clock.Now())
 }
 
 // inlineExecutor runs handler work immediately on the calling goroutine —
@@ -208,6 +243,13 @@ type LocalSegment struct {
 	reorder *reorderBuf
 	stats   *SegmentStats
 
+	// startPost, endPost and dropped belong to the segment's producer: one
+	// goroutine per segment on the wall clock, so no post path shares state
+	// with another segment's producer.
+	startPost *stats.Sample
+	endPost   *stats.Sample
+	dropped   int
+
 	// endPub is the publisher whose publication is this segment's end
 	// event; used for recovery publication and skip-next propagation.
 	// Nil when the segment ends at a reception.
@@ -229,12 +271,14 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 		cfg.Constraint = weaklyhard.Constraint{M: 0, K: 1}
 	}
 	s := &LocalSegment{
-		cfg:      cfg,
-		mon:      m,
-		excepted: make(map[uint64]bool),
-		resolved: make(map[uint64]bool),
-		counter:  weaklyhard.NewCounter(cfg.Constraint),
-		stats:    NewSegmentStats(cfg.Name),
+		cfg:       cfg,
+		mon:       m,
+		excepted:  make(map[uint64]bool),
+		resolved:  make(map[uint64]bool),
+		counter:   weaklyhard.NewCounter(cfg.Constraint),
+		stats:     NewSegmentStats(cfg.Name),
+		startPost: stats.NewSample(),
+		endPost:   stats.NewSample(),
 	}
 	s.reorder = newReorderBuf(func(r Resolution) {
 		s.counter.Record(r.Status == StatusMissed)
@@ -248,7 +292,7 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 	})
 	s.core = m.core.AddSegment(cfg.Name, cfg.DMon, m.newRing(), m.newRing(), rt.SegmentHooks{
 		DrainLatency: func(lat rt.Duration) {
-			m.overheads.MonLatency.AddDuration(lat)
+			m.monLatency.AddDuration(lat)
 		},
 		SkipArm: func(act uint64) bool {
 			return s.resolved[act] || s.excepted[act]
@@ -288,7 +332,7 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 		},
 	})
 	if m.tel != nil {
-		s.tel = newSegTel(m.tel.sink, m.tel.track, m.tel.postTrack(s.cfg.Name), s.cfg.Name)
+		s.tel = m.tel.segment(s.cfg.Name)
 	}
 	if m.live != nil {
 		s.attachLive(m.live)
@@ -305,6 +349,11 @@ func (s *LocalSegment) Stats() *SegmentStats { return s.stats }
 
 // Counter returns the segment's (m,k) window counter.
 func (s *LocalSegment) Counter() *weaklyhard.Counter { return s.counter }
+
+// Dropped returns how many posts the segment's rings rejected because they
+// were full. A dropped start is never judged, so a nonzero count means the
+// ring is too small for the load. Simulation rings never reject a post.
+func (s *LocalSegment) Dropped() int { return s.dropped }
 
 // OnResolve registers an observer of in-order activation resolutions.
 func (s *LocalSegment) OnResolve(fn ResolveFunc) { s.onResolve = append(s.onResolve, fn) }
@@ -385,41 +434,51 @@ func (m *LocalMonitor) markSkip(pub *dds.Publisher, act uint64) {
 }
 
 // postStart models the instrumented subscriber: post into the start ring,
-// record the posting overhead, and raise the monitor semaphore.
+// raise the monitor semaphore, and record the posting overhead — the
+// modelled PostCost plus the clock delta across post and wake. The cost is
+// sampled before the wake so the simulation's RNG draw order is that of
+// the post itself.
 func (s *LocalSegment) postStart(act uint64) {
-	now := s.mon.clock.Now()
-	s.mon.overheads.StartPost.AddDuration(s.mon.PostCost.Sample(s.mon.rng))
-	var flow uint32
-	if s.tel != nil {
-		flow = s.tel.flow(act)
-	}
-	s.core.StartRing().Post(rt.Event{Act: act, TS: now, Flow: flow})
-	if s.tel != nil {
-		s.tel.posts.Append(telemetry.Event{
-			TS: int64(now), Act: act, Arg: int64(s.core.StartRing().Len()),
-			Flow: flow,
-			Kind: telemetry.KindRingPostStart, Label: s.tel.label,
-		})
-	}
-	s.mon.wake()
+	m := s.mon
+	now := m.clock.Now()
+	cost := m.PostCost.Sample(m.rng)
+	s.post(s.core.StartRing(), telemetry.KindRingPostStart, act, now)
+	m.wake()
+	s.startPost.AddDuration(cost + m.clock.Now().Sub(now))
 }
 
 // postEnd models the instrumented publisher: post into the end ring without
 // waking the monitor (processing end events is not time critical, saving a
 // context switch).
 func (s *LocalSegment) postEnd(act uint64) {
-	now := s.mon.clock.Now()
-	s.mon.overheads.EndPost.AddDuration(s.mon.PostCost.Sample(s.mon.rng))
+	m := s.mon
+	now := m.clock.Now()
+	cost := m.PostCost.Sample(m.rng)
+	s.post(s.core.EndRing(), telemetry.KindRingPostEnd, act, now)
+	s.endPost.AddDuration(cost + m.clock.Now().Sub(now))
+}
+
+// post writes one event into ring and records it on the posts track. A full
+// ring rejects the event: it is counted as dropped and recorded as a
+// ring-drop instead.
+func (s *LocalSegment) post(ring rt.EventRing, kind telemetry.Kind, act uint64, now rt.Time) {
 	var flow uint32
 	if s.tel != nil {
 		flow = s.tel.flow(act)
 	}
-	s.core.EndRing().Post(rt.Event{Act: act, TS: now, Flow: flow})
+	ok := ring.Post(rt.Event{Act: act, TS: now, Flow: flow})
+	if !ok {
+		s.dropped++
+		kind = telemetry.KindRingDrop
+	}
 	if s.tel != nil {
+		if !ok {
+			s.tel.drops.Inc()
+		}
 		s.tel.posts.Append(telemetry.Event{
-			TS: int64(now), Act: act, Arg: int64(s.core.EndRing().Len()),
+			TS: int64(now), Act: act, Arg: int64(ring.Len()),
 			Flow: flow,
-			Kind: telemetry.KindRingPostEnd, Label: s.tel.label,
+			Kind: kind, Label: s.tel.label,
 		})
 	}
 }
@@ -430,8 +489,7 @@ func (m *LocalMonitor) wake() { m.sched.Wake() }
 // scan is one monitor-thread pass, delegated to the shared core: drain all
 // rings in the fixed segment order, arm timeouts for new start events,
 // resolve completed activations, and fire due temporal exceptions.
-func (m *LocalMonitor) scan() {
-	now := m.clock.Now()
+func (m *LocalMonitor) scan(now rt.Time) {
 	if len(m.budgets) != 0 {
 		m.applyBudgets(now)
 	}

@@ -73,24 +73,15 @@ func (s *SegmentStats) Summary() string {
 	return fmt.Sprintf("%-24s activations=%d ok=%d recovered=%d missed=%d", s.Name, len(s.resolutions), ok, rec, miss)
 }
 
-// OverheadStats collects the local-monitoring overhead measurements of
-// Fig. 11 in the simulated system: event posting costs, the monitor latency
-// (post → processed by the monitor thread) and the monitor execution time.
+// OverheadStats holds the local-monitoring overhead measurements of
+// Fig. 11: event posting costs, the monitor latency (post → processed by
+// the monitor thread) and the monitor execution time — modelled on the
+// simulation runtime, measured on the wall clock (LocalMonitor.Overheads).
 type OverheadStats struct {
 	StartPost  *stats.Sample // start-event overhead
 	EndPost    *stats.Sample // end-event overhead
 	MonLatency *stats.Sample // monitor latency: post → drained
 	MonExec    *stats.Sample // monitor thread execution time per scan
-}
-
-// NewOverheadStats creates empty overhead collectors.
-func NewOverheadStats() *OverheadStats {
-	return &OverheadStats{
-		StartPost:  stats.NewSample(),
-		EndPost:    stats.NewSample(),
-		MonLatency: stats.NewSample(),
-		MonExec:    stats.NewSample(),
-	}
 }
 
 // Rows renders the four overhead boxplot rows of Fig. 11.

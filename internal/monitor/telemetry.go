@@ -35,6 +35,7 @@ type segTel struct {
 	latency   *telemetry.Histogram
 	detection *telemetry.Histogram
 	handlers  [2]*telemetry.Counter // recovered, propagated
+	drops     *telemetry.Counter    // full-ring posts; local segments only
 }
 
 func newSegTel(sink *telemetry.Sink, track, posts *telemetry.Track, name string) *segTel {
@@ -148,8 +149,18 @@ func (m *LocalMonitor) attachTelemetry(sink *telemetry.Sink, name string, postTr
 			"Armed local timeouts after a monitor pass.", ecu),
 	}
 	for _, s := range m.segments {
-		s.tel = newSegTel(sink, track, postTrack(s.cfg.Name), s.cfg.Name)
+		s.tel = m.tel.segment(s.cfg.Name)
 	}
+}
+
+// segment builds a local segment's probe: the shared verdict-path handles,
+// its posts track, and the ring-drop counter of its rings.
+func (mt *monTel) segment(name string) *segTel {
+	st := newSegTel(mt.sink, mt.track, mt.postTrack(name), name)
+	st.drops = mt.sink.Reg.Counter("chainmon_ring_drops_total",
+		"Postings dropped because the ring was full.",
+		telemetry.Label{Name: "segment", Value: name})
+	return st
 }
 
 // remoteTel is a RemoteMonitor's probe. It shares the ECU monitor track with

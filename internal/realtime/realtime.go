@@ -15,7 +15,6 @@ package realtime
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"chainmon/internal/livestats"
@@ -152,6 +151,9 @@ type Result struct {
 	Frames   int
 	Scans    uint64
 	Segments []SegmentResult
+	// Overheads are the Fig. 11 overheads the monitor measured during the
+	// run: posting overheads, monitor latency and monitor execution time.
+	Overheads *monitor.OverheadStats
 }
 
 // Summary renders the result as the CLI report.
@@ -161,6 +163,12 @@ func (r Result) Summary(w io.Writer) {
 	for _, s := range r.Segments {
 		fmt.Fprintf(w, "  %-12s ok=%d missed=%d recovered=%d\n",
 			s.Name, s.OK, s.Missed, s.Recovered)
+	}
+	if r.Overheads != nil {
+		fmt.Fprintln(w, "\nmonitor overheads (wall clock):")
+		for _, row := range r.Overheads.Rows() {
+			fmt.Fprintf(w, "  %s\n", row)
+		}
 	}
 }
 
@@ -175,11 +183,10 @@ func (r Result) Summary(w io.Writer) {
 // before posting the start events, all tagged with the frame's flow identity
 // in scope "rt"; the monitor's ring-post, arm/fire and verdict events carry
 // the same flow, so the converted trace links dds-send → net → dds-recv →
-// verdict for every activation. Per-segment verdict counters then come from
-// the monitor's own telemetry attach (registering them here too would
-// double-count: the registry hands out one shared counter per family+labels).
-// A registry-only sink (sink.Rec == nil) keeps the previous metrics-only
-// behavior.
+// verdict for every activation. The monitor's metrics (scans, queue depth,
+// per-segment verdicts, latencies, ring drops) come from its telemetry
+// attach under ecu="rt"; a registry-only sink (sink.Rec == nil) gets those
+// metrics and no trace.
 func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -199,17 +206,9 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 
 	traced := sink != nil && sink.Rec != nil
 	var frames *telemetry.Counter
-	var manScans *telemetry.Counter
-	var manDepth *telemetry.Gauge
 	if sink != nil {
 		frames = sink.Reg.Counter("chainmon_realtime_frames_total",
 			"Activations emitted by the wall-clock producer.")
-	}
-	if sink != nil && !traced {
-		manScans = sink.Reg.Counter("chainmon_monitor_scans_total",
-			"Monitor-goroutine drain passes.")
-		manDepth = sink.Reg.Gauge("chainmon_monitor_timeout_queue_depth",
-			"Armed timeouts after a monitor pass.")
 	}
 
 	// Flow tracing: both segments describe the same frame stream, so they
@@ -238,47 +237,24 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 		})
 		results = append(results, SegmentResult{Name: name})
 		idx := len(results) - 1
-		var resolved, miss *telemetry.Counter
-		var lat *telemetry.Histogram
-		if sink != nil && !traced {
-			segLabel := telemetry.Label{Name: "segment", Value: name}
-			resolved = sink.Reg.Counter("chainmon_segment_resolutions_total",
-				"Resolved activations per segment and verdict.", segLabel,
-				telemetry.Label{Name: "status", Value: "ok"})
-			miss = sink.Reg.Counter("chainmon_segment_resolutions_total",
-				"Resolved activations per segment and verdict.", segLabel,
-				telemetry.Label{Name: "status", Value: "missed"})
-			lat = sink.Reg.Histogram("chainmon_segment_latency_seconds",
-				"Segment latency per resolved activation.", nil, segLabel)
-		}
-		// Runs on the monitor goroutine; counters are lock-free atomics, so
-		// a concurrent /metrics scrape is safe mid-run.
+		// Runs on the monitor goroutine.
 		seg.OnResolve(func(r monitor.Resolution) {
 			switch r.Status {
 			case monitor.StatusOK:
 				results[idx].OK++
-				if resolved != nil {
-					resolved.Inc()
-				}
 			case monitor.StatusMissed:
 				results[idx].Missed++
-				if miss != nil {
-					miss.Inc()
-				}
 			case monitor.StatusRecovered:
 				results[idx].Recovered++
-			}
-			if lat != nil && r.Latency > 0 {
-				lat.Observe(int64(r.Latency))
 			}
 			results[idx].Resolutions = append(results[idx].Resolutions, r)
 		})
 		segs = append(segs, seg)
 	}
 	objects, ground := segs[0], segs[1]
-	if traced {
-		mon.AttachWallclockTelemetry(sink, "rt")
-	}
+	// Metrics are lock-free atomics, so a concurrent /metrics scrape is safe
+	// mid-run.
+	mon.AttachWallclockTelemetry(sink, "rt")
 	if cfg.Live != nil {
 		cfg.Live.SetTimebase("wall")
 		mon.AttachLive(cfg.Live)
@@ -290,16 +266,8 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 		chain.AttachLive(cfg.Live)
 	}
 
-	var scanCount atomic.Uint64
 	loop := walltime.NewLoop(clock, sem)
-	loop.Scan = func() {
-		mon.ScanNow()
-		scanCount.Add(1)
-		if manScans != nil {
-			manScans.Inc()
-			manDepth.Set(int64(mon.Core().PendingTimeouts()))
-		}
-	}
+	loop.Scan = mon.ScanNow
 	loop.Next = mon.Core().NextDeadline
 	start := time.Now()
 	loop.Start()
@@ -374,10 +342,13 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 	time.Sleep(10 * time.Millisecond)
 	loop.Stop()
 
+	// Every pass recorded one execution-time sample.
+	overheads := mon.Overheads()
 	return Result{
-		Elapsed:  time.Since(start),
-		Frames:   cfg.Frames,
-		Scans:    scanCount.Load(),
-		Segments: results,
+		Elapsed:   time.Since(start),
+		Frames:    cfg.Frames,
+		Scans:     uint64(overheads.MonExec.Len()),
+		Segments:  results,
+		Overheads: overheads,
 	}, nil
 }

@@ -248,18 +248,28 @@ func popBatch(r EventRing, bp BatchPopper, buf []Event) int {
 	return n
 }
 
+// drain moves a segment's start events into the timeout queue, then
+// resolves its end events. Only the ends already posted when the drain
+// began are popped: an end posted while the starts drain may belong to a
+// start posted after the start ring ran empty, and popping it now would
+// find no armed timeout and discard an on-time end. Later ends wait for
+// the next pass, which drains their starts first.
 func (c *Core) drain(s *Segment, now Time) {
 	if c.batch == nil {
 		c.batch = make([]Event, drainBatch)
 	}
+	ends := s.end.Len()
 	for {
 		n := popBatch(s.start, s.startBatch, c.batch)
 		if n == 0 {
 			break
 		}
 		for _, ev := range c.batch[:n] {
+			// On the wall clock a start can be posted after the host read
+			// the pass's time; it is drained no earlier than its post.
+			at := max(now, ev.TS)
 			if s.hooks.DrainLatency != nil {
-				s.hooks.DrainLatency(now.Sub(ev.TS))
+				s.hooks.DrainLatency(at.Sub(ev.TS))
 			}
 			if s.hooks.SkipArm != nil && s.hooks.SkipArm(ev.Act) {
 				continue // propagated-in activation that was already handled
@@ -270,21 +280,22 @@ func (c *Core) drain(s *Segment, now Time) {
 			s.pending[ev.Act] = p
 			c.deadline.push(deadlineEntry{at: p.deadline, seg: s, act: ev.Act})
 			if s.hooks.Arm != nil {
-				p.timer = s.hooks.Arm(p.start, p.deadline, now)
+				p.timer = s.hooks.Arm(p.start, p.deadline, at)
 			}
 			// Deadlines already in the past are picked up by fireDue below.
 		}
 	}
-	for {
-		n := popBatch(s.end, s.endBatch, c.batch)
+	for ends > 0 {
+		n := popBatch(s.end, s.endBatch, c.batch[:min(ends, len(c.batch))])
 		if n == 0 {
 			break
 		}
+		ends -= n
 		for _, ev := range c.batch[:n] {
 			p, armed := s.pending[ev.Act]
 			if !armed {
-				// End events for excepted activations are discarded; end events
-				// without a start cannot occur (causality).
+				// End events for excepted activations are discarded; an end
+				// counted above has its start drained (causality).
 				continue
 			}
 			if p.timer != nil {

@@ -124,6 +124,78 @@ func TestCoreSkipArm(t *testing.T) {
 	}
 }
 
+// racingStartRing is a start ring whose producer posts a fresh start+end
+// pair the instant the monitor finds it empty: a wall-clock post landing
+// between one pass's start-ring drain and its end-ring drain. It offers no
+// PopBatch, so the Core drains it through Pop.
+type racingStartRing struct {
+	ring  SliceRing
+	end   EventRing
+	fired bool
+}
+
+func (r *racingStartRing) Post(ev Event) bool { return r.ring.Post(ev) }
+func (r *racingStartRing) Len() int           { return r.ring.Len() }
+
+func (r *racingStartRing) Pop() (Event, bool) {
+	ev, ok := r.ring.Pop()
+	if !ok && !r.fired {
+		r.fired = true
+		r.ring.Post(Event{Act: 1, TS: 1e6})
+		r.end.Post(Event{Act: 1, TS: 2e6})
+	}
+	return ev, ok
+}
+
+// An on-time end posted during a pass's start drain must wait for the next
+// pass, which arms its start first; popping it in the same pass would find
+// no armed timeout, discard it, and later expire the activation.
+func TestCoreEndPostedDuringStartDrainResolvesOK(t *testing.T) {
+	c := NewCore()
+	r := &rec{}
+	end := &SliceRing{}
+	s := c.AddSegment("s", 10*time.Millisecond, &racingStartRing{end: end}, end, r.hooks())
+	c.Scan(1e6) // finds the start ring empty: the pair lands mid-pass
+	if end.Len() != 1 {
+		t.Fatalf("end ring holds %d events after the pass, want the racing end kept for the next pass", end.Len())
+	}
+	c.Scan(3e6)
+	c.Scan(20e6) // past the deadline: a discarded end would expire here
+	if len(r.oks) != 1 || r.oks[0] != 1 {
+		t.Errorf("oks = %v, want [1]", r.oks)
+	}
+	if len(r.expired) != 0 {
+		t.Errorf("expired = %v, want none (the end was on time)", r.expired)
+	}
+	if s.Pending() != 0 {
+		t.Errorf("pending = %d", s.Pending())
+	}
+}
+
+// A start posted after the host read the pass's time is still drained by
+// that pass: it is processed no earlier than its own post, so its drain
+// latency is not negative and it is armed at its post time.
+func TestCoreStartPostedAfterPassTime(t *testing.T) {
+	c := NewCore()
+	var lats []Duration
+	var armedAt []Time
+	s := c.AddSegment("s", 10*time.Millisecond, &SliceRing{}, &SliceRing{}, SegmentHooks{
+		DrainLatency: func(lat Duration) { lats = append(lats, lat) },
+		Arm: func(start Event, deadline, now Time) Timer {
+			armedAt = append(armedAt, now)
+			return nil
+		},
+	})
+	s.StartRing().Post(Event{Act: 1, TS: 5e6})
+	c.Scan(4e6) // the pass's time was read before the post
+	if len(lats) != 1 || lats[0] != 0 {
+		t.Errorf("drain latencies = %v, want [0]", lats)
+	}
+	if len(armedAt) != 1 || armedAt[0] != 5e6 {
+		t.Errorf("armed at %v, want [5e6] (the start's post time)", armedAt)
+	}
+}
+
 func TestCoreNextDeadlineLazyHeap(t *testing.T) {
 	c := NewCore()
 	r := &rec{}

@@ -93,3 +93,17 @@ func TestTimerHostAt(t *testing.T) {
 	tm.Cancel()
 	time.Sleep(2 * time.Millisecond)
 }
+
+func TestLoopStartTwicePanics(t *testing.T) {
+	loop := NewLoop(NewClock(), NewSem())
+	loop.Scan = func() {}
+	loop.Next = func() (rt.Time, bool) { return 0, false }
+	loop.Start()
+	defer loop.Stop()
+	defer func() {
+		if recover() == nil {
+			t.Error("second Start did not panic")
+		}
+	}()
+	loop.Start()
+}

@@ -47,7 +47,7 @@ func labelString(labels []Label) string {
 
 // Registry is a process-wide metrics table. Metric lookup/creation takes a
 // mutex; updates on the returned handles are lock-free atomics, safe for
-// concurrent writers (the shmring producer and monitor goroutines).
+// concurrent writers (the wall-clock producer and monitor goroutines).
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family

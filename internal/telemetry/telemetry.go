@@ -6,7 +6,7 @@
 //
 // The package deliberately imports no other internal package: timestamps
 // are plain int64 nanoseconds (virtual time for the simulation, monotonic
-// wall time for internal/shmring), so every runtime package — including
+// wall time for the wall-clock runtime), so every runtime package — including
 // internal/sim itself — can emit into it without import cycles.
 //
 // Instrumented objects hold a nil pointer to a small pre-resolved probe
@@ -163,7 +163,7 @@ const (
 // so a track ring is a flat array with no per-event allocation.
 type Event struct {
 	// TS is the event timestamp in nanoseconds: virtual time for the
-	// simulation, monotonic wall time for shmring.
+	// simulation, monotonic wall time for the wall-clock runtime.
 	TS int64
 	// Act is the activation index the event belongs to (0 when N/A).
 	Act uint64
